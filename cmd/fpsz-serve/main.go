@@ -2,8 +2,7 @@
 // directory of .fpsa archives over HTTP, with upload-and-compress,
 // full-field and ranged region decode (served from a decoded-chunk LRU
 // cache), chunk/group inspection, bounded-concurrency admission, and
-// Prometheus metrics. `fpsz serve` runs the same engine; this binary is
-// the deployable form.
+// Prometheus metrics.
 package main
 
 import (

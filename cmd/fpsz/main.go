@@ -65,8 +65,6 @@ func main() {
 		err = list(os.Args[2:])
 	case "extract":
 		err = extract(os.Args[2:])
-	case "serve":
-		err = serveCmd(ctx, os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -93,7 +91,6 @@ func usage() {
   fpsz archive    -dir <dir-of-sdf> -out <snapshot.fpsa> [-psnr <dB> | -ratio <R>]
   fpsz list       -in <snapshot.fpsa>
   fpsz extract    -in <snapshot.fpsa> -field <name> -out <field.sdf> [-region off:ext,...]
-  fpsz serve      [-addr :8080] [-root archives] [-cache-mb 256] [flags]  serve an archive catalog over HTTP
   fpsz info       alias of inspect; -chunks prints the per-chunk index (and region groups)`)
 	os.Exit(2)
 }
@@ -128,7 +125,6 @@ func compress(ctx context.Context, args []string) error {
 		capacity   = fs.Int("capacity", 0, "quantization intervals (0 = 65536)")
 		autoCap    = fs.Bool("autocap", false, "estimate capacity from the data")
 		workers    = fs.Int("workers", 0, "worker goroutines (0 = all CPUs)")
-		level      = fs.Int("level", 0, "DEFLATE level (0 = fastest)")
 		chunkPts   = fs.Int("chunkpoints", 0, "target chunk size in points for random-access streams (0 = default tiling)")
 	)
 	var rois roiFlags
@@ -147,7 +143,6 @@ func compress(ctx context.Context, args []string) error {
 		Capacity:      *capacity,
 		AutoCapacity:  *autoCap,
 		Workers:       *workers,
-		Level:         *level,
 		ChunkPoints:   *chunkPts,
 		RegionTargets: rois,
 	}
@@ -547,15 +542,4 @@ func extract(args []string) error {
 // vectors — one syntax shared with the server's ROI query parameters.
 func parseRegion(s string) (off, ext []int, err error) {
 	return serve.ParseRegionSpec(s)
-}
-
-// serveCmd runs the archive catalog daemon in-process — the same engine
-// as the standalone fpsz-serve binary. It serves until the first
-// SIGINT/SIGTERM, then drains gracefully.
-func serveCmd(ctx context.Context, args []string) error {
-	cfg, err := serve.ParseFlags("fpsz serve", args, os.Stderr)
-	if err != nil {
-		return err
-	}
-	return serve.Run(ctx, cfg, os.Stderr)
 }

@@ -70,7 +70,6 @@
 package fixedpsnr
 
 import (
-	"compress/flate"
 	"context"
 	"fmt"
 	"math"
@@ -342,8 +341,6 @@ type Options struct {
 	// below that floor the fixed overhead dominates even at the default
 	// capacity.
 	ChunkPoints int
-	// Level is the DEFLATE level (0 = fastest).
-	Level int
 	// BlockSize is the transform block edge (transform pipeline).
 	BlockSize int
 }
@@ -450,9 +447,6 @@ func (opt Options) Validate() error {
 	if opt.ChunkPoints != 0 && opt.ChunkPoints < MinChunkPoints {
 		return fmt.Errorf("fixedpsnr: ChunkPoints %d below minimum %d (0 selects the default)", opt.ChunkPoints, MinChunkPoints)
 	}
-	if opt.Level != 0 && (opt.Level < flate.HuffmanOnly || opt.Level > flate.BestCompression) {
-		return fmt.Errorf("fixedpsnr: DEFLATE Level %d outside [%d, %d]", opt.Level, flate.HuffmanOnly, flate.BestCompression)
-	}
 	return nil
 }
 
@@ -513,7 +507,6 @@ func (opt Options) codecOptions(res plan.Resolution, vr float64) codec.Options {
 		Workers:      opt.Workers,
 		ChunkRows:    opt.ChunkRows,
 		ChunkPoints:  opt.ChunkPoints,
-		Level:        opt.Level,
 		BlockSize:    opt.BlockSize,
 		Transform:    opt.Compressor.transform(),
 		Mode:         res.StreamMode,

@@ -1,9 +1,7 @@
 package codec
 
-import "compress/flate"
-
 // Options is the unified per-codec configuration. Both pipelines read the
-// common core (ErrorBound, Capacity, Workers, Level, and the header
+// common core (ErrorBound, Capacity, Workers, and the header
 // annotations); each ignores the knobs that do not apply to it, so one
 // options struct travels from the public API through the plan layer to
 // any registered codec.
@@ -28,13 +26,6 @@ type Options struct {
 	// DefaultChunkPoints for the streaming encoder. Values below
 	// MinChunkPoints are rejected by validation.
 	ChunkPoints int
-	// Level selects the DEFLATE back-end for the payload stage. Zero —
-	// the default — routes through the purpose-built internal/deflate
-	// encoder (entropy-gated match search tuned for entropy-coded
-	// payloads, matching SZ's use of fast gzip). An explicit
-	// compress/flate level (-2..9, nonzero) keeps the stdlib writer as
-	// an escape hatch; both back-ends emit conformant DEFLATE streams.
-	Level int
 	// BlockSize is the transform block edge (otc pipeline).
 	BlockSize int
 	// Transform selects the block transform (otc pipeline).
@@ -44,18 +35,6 @@ type Options struct {
 	Mode       Mode
 	TargetPSNR float64
 	ValueRange float64
-}
-
-// FlateLevel resolves the level passed to compress/flate when the
-// stdlib escape hatch is selected (Level != 0). Level 0 does not reach
-// the stdlib writer at all — Scratch.AppendDeflate routes it to the
-// internal back-end — so the BestSpeed mapping here only preserves the
-// historical meaning for callers that resolve a level eagerly.
-func (o Options) FlateLevel() int {
-	if o.Level == 0 {
-		return flate.BestSpeed
-	}
-	return o.Level
 }
 
 // Stats is the unified compression outcome report. Fields that a

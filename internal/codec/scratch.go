@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"compress/flate"
+	"fmt"
 	"io"
 	"sync"
 
@@ -14,8 +15,9 @@ import (
 // Encoder in the public API) threads through repeated Compress calls so
 // the hot path stops allocating its large transient buffers fresh every
 // time: quantization-code slices, reconstruction buffers, transform block
-// buffers, pre-DEFLATE staging bytes, output buffers, and DEFLATE writers
-// (whose internal window state dominates a flate.NewWriter call).
+// buffers, pre-DEFLATE staging bytes, output buffers, DEFLATE encoders,
+// and inflate readers (whose window state dominates a flate.NewReader
+// call).
 //
 // All pools are backed by sync.Pool, so one Scratch is safe for
 // concurrent use by any number of goroutines — a single Encoder shared
@@ -29,21 +31,13 @@ type Scratch struct {
 	floats   sync.Pool // *[]float64
 	bytes    sync.Pool // *[]byte
 	bufs     sync.Pool // *bytes.Buffer
-	flates   sync.Pool // *pooledFlate
 	huffs    sync.Pool // *huffman.Scratch
 	huffDecs sync.Pool // *huffman.DecodeScratch
-	flateRs  sync.Pool // io.ReadCloser + flate.Resetter
+	flateRs  sync.Pool // io.ReadCloser from flate.NewReader
 	deflates sync.Pool // *deflate.Encoder
 
 	mu     sync.Mutex // guards shards
 	shards []*Scratch // per-worker children, created lazily by Shard
-}
-
-// pooledFlate remembers the level a pooled DEFLATE writer was created
-// with; flate.Writer cannot change level on Reset.
-type pooledFlate struct {
-	w     *flate.Writer
-	level int
 }
 
 // NewScratch returns an empty scratch pool set.
@@ -138,6 +132,13 @@ func (s *Scratch) PutBytes(p []byte) {
 	s.bytes.Put(&p)
 }
 
+// PutPayload returns the codes and literals of a payload obtained from
+// DecodePayload to the pools.
+func (s *Scratch) PutPayload(p Payload) {
+	s.PutInt32s(p.Codes)
+	s.PutFloats(p.Literals)
+}
+
 // Buffer returns a reset bytes.Buffer.
 func (s *Scratch) Buffer() *bytes.Buffer {
 	if s != nil {
@@ -159,7 +160,7 @@ func (s *Scratch) PutBuffer(b *bytes.Buffer) {
 }
 
 // Huffman returns a reusable Huffman construction scratch (nil when s is
-// nil, which huffman.EncodeScratch accepts). Each instance serves one
+// nil, which huffman.EncodeLanes4 accepts). Each instance serves one
 // encode at a time; get one per in-flight chunk and put it back after.
 func (s *Scratch) Huffman() *huffman.Scratch {
 	if s == nil {
@@ -200,56 +201,6 @@ func (s *Scratch) PutHuffDecode(d *huffman.DecodeScratch) {
 	s.huffDecs.Put(d)
 }
 
-// FlateReader returns a DEFLATE reader over r, reusing a pooled reader's
-// window state when one is available (flate readers allocate ~50 KB of
-// history and dictionary per NewReader, which dominates small-chunk
-// decode profiles).
-func (s *Scratch) FlateReader(r io.Reader) io.ReadCloser {
-	if s != nil {
-		if v, ok := s.flateRs.Get().(io.ReadCloser); ok {
-			v.(flate.Resetter).Reset(r, nil)
-			return v
-		}
-	}
-	return flate.NewReader(r)
-}
-
-// PutFlateReader returns a reader obtained from FlateReader to the pool.
-// The caller must have called Close already.
-func (s *Scratch) PutFlateReader(fr io.ReadCloser) {
-	if s == nil || fr == nil {
-		return
-	}
-	if _, ok := fr.(flate.Resetter); !ok {
-		return
-	}
-	s.flateRs.Put(fr)
-}
-
-// FlateWriter returns a DEFLATE writer at the given level targeting w,
-// reusing pooled writer state when the level matches.
-func (s *Scratch) FlateWriter(w io.Writer, level int) (*flate.Writer, error) {
-	if s != nil {
-		if v, ok := s.flates.Get().(*pooledFlate); ok {
-			if v.level == level {
-				v.w.Reset(w)
-				return v.w, nil
-			}
-			// Stale level (the session changed configuration): drop it.
-		}
-	}
-	return flate.NewWriter(w, level)
-}
-
-// PutFlateWriter returns a writer obtained from FlateWriter to the pool.
-// The caller must have called Close (or Flush) already.
-func (s *Scratch) PutFlateWriter(fw *flate.Writer, level int) {
-	if s == nil || fw == nil {
-		return
-	}
-	s.flates.Put(&pooledFlate{w: fw, level: level})
-}
-
 // Deflater returns a pooled purpose-built DEFLATE encoder (the
 // internal/deflate back-end). An Encoder carries its hash table, token
 // buffers, and code tables — pooling them keeps the encode hot path
@@ -272,37 +223,43 @@ func (s *Scratch) PutDeflater(e *deflate.Encoder) {
 }
 
 // AppendDeflate compresses src into a complete DEFLATE stream appended
-// to dst and returns the extended slice. This is the single routing
-// point for the encode side: level 0 — the default everywhere — selects
-// the purpose-built internal/deflate encoder (entropy-gated match
-// search, one-pass dynamic Huffman); any explicit non-zero level keeps
-// the stdlib compress/flate writer as an escape hatch for debugging and
-// ratio comparisons. Both back-ends emit conformant DEFLATE, so readers
-// never care which one produced a stream.
-func (s *Scratch) AppendDeflate(dst, src []byte, level int) ([]byte, error) {
-	if level == 0 {
-		e := s.Deflater()
-		dst = e.AppendEncode(dst, src)
-		s.PutDeflater(e)
-		return dst, nil
+// to dst with a pooled internal/deflate encoder and returns the extended
+// slice.
+func (s *Scratch) AppendDeflate(dst, src []byte) []byte {
+	e := s.Deflater()
+	dst = e.AppendEncode(dst, src)
+	s.PutDeflater(e)
+	return dst
+}
+
+// Inflate decompresses the DEFLATE stream src into a pooled buffer,
+// reusing a pooled reader's window state when one is available (flate
+// readers allocate ~50 KB of history and dictionary per NewReader, which
+// dominates small-chunk decode profiles). The reader goes back to the
+// pool on every path; on success the caller owns the buffer and must
+// PutBuffer it once done with the bytes.
+func (s *Scratch) Inflate(src []byte) (*bytes.Buffer, error) {
+	var fr io.ReadCloser
+	if s != nil {
+		if v, ok := s.flateRs.Get().(io.ReadCloser); ok {
+			v.(flate.Resetter).Reset(bytes.NewReader(src), nil)
+			fr = v
+		}
+	}
+	if fr == nil {
+		fr = flate.NewReader(bytes.NewReader(src))
 	}
 	buf := s.Buffer()
-	fw, err := s.FlateWriter(buf, level)
+	_, err := buf.ReadFrom(fr)
+	if cerr := fr.Close(); err == nil {
+		err = cerr
+	}
+	if s != nil {
+		s.flateRs.Put(fr)
+	}
 	if err != nil {
 		s.PutBuffer(buf)
-		return nil, err
+		return nil, fmt.Errorf("codec: inflate: %w", err)
 	}
-	_, werr := fw.Write(src)
-	cerr := fw.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		s.PutBuffer(buf)
-		return nil, werr
-	}
-	dst = append(dst, buf.Bytes()...)
-	s.PutFlateWriter(fw, level)
-	s.PutBuffer(buf)
-	return dst, nil
+	return buf, nil
 }

@@ -58,6 +58,7 @@ func testInputs() map[string][]byte {
 	mixed := append(append(append([]byte{}, random[:70000]...), repetitive[:70000]...), skewed[:70000]...)
 
 	return map[string][]byte{
+		"fibonacci":     fibonacciBlock(rng),
 		"empty":         nil,
 		"one_byte":      {0x42},
 		"tiny":          []byte("abc"),
@@ -71,6 +72,58 @@ func testInputs() map[string][]byte {
 		"block_edge_lo": random[:65535],
 		"block_edge_hi": random[:65536],
 		"all_zero":      make([]byte, 130000),
+	}
+}
+
+// fibFreqs returns the n Fibonacci frequencies 1, 1, 2, 3, 5, … — the
+// histogram whose Huffman tree is a path of depth n−1, as far past a
+// length limit as an alphabet of n symbols can reach.
+func fibFreqs(n int) []uint32 {
+	freq := make([]uint32, n)
+	a, b := uint32(1), uint32(1)
+	for i := range freq {
+		freq[i] = a
+		a, b = b, a+b
+	}
+	return freq
+}
+
+// fibonacciBlock is one block of bytes in shuffled order where byte i
+// occurs fibFreqs(19)[i+1] times (1, 2, 3, 5, …): with the end-of-block
+// symbol's count of 1 the literal histogram is Fibonacci over 19
+// symbols, so the literal tree runs three levels past maxBits and the
+// length-limit repair has to lift leaves from more than one level deep.
+func fibonacciBlock(rng *rand.Rand) []byte {
+	var out []byte
+	for sym, f := range fibFreqs(19)[1:] {
+		out = append(out, bytes.Repeat([]byte{byte(sym)}, int(f))...)
+	}
+	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
+}
+
+// TestBuildLensKraft checks that length-limited codes are never
+// over-subscribed (Σ2^-len ≤ 1, which inflaters require) on Fibonacci
+// histograms, whose leaves sit up to n−1−maxLen levels past the limit,
+// for both limits the encoder uses.
+func TestBuildLensKraft(t *testing.T) {
+	for _, lim := range []struct{ maxLen, maxSyms int }{{maxCLBits, numCL}, {maxBits, 30}} {
+		for n := 2; n <= lim.maxSyms; n++ {
+			freq := fibFreqs(n)
+			lens := make([]uint8, n)
+			var scratch []uint32
+			buildLens(freq, lim.maxLen, lens, &scratch)
+			kraft := 0
+			for s, l := range lens {
+				if l == 0 || int(l) > lim.maxLen {
+					t.Fatalf("maxLen %d, %d symbols: symbol %d has length %d", lim.maxLen, n, s, l)
+				}
+				kraft += 1 << (lim.maxLen - int(l))
+			}
+			if kraft > 1<<lim.maxLen {
+				t.Fatalf("maxLen %d, %d symbols: Kraft sum %d/%d > 1 (over-subscribed code)", lim.maxLen, n, kraft, 1<<lim.maxLen)
+			}
+		}
 	}
 }
 

@@ -211,20 +211,26 @@ func buildLens(freq []uint32, maxLen int, lens []uint8, scratch *[]uint32) uint6
 		depth[i] = depth[parent[i]] + 1
 	}
 
-	// Histogram of leaf depths, clamping overflow past maxLen, then the
-	// zlib repair: move one interior slot down a level per two overflowed
-	// leaves until the Kraft sum holds again.
+	// Histogram of leaf depths, clamping leaves deeper than maxLen, then
+	// the zlib repair: move one interior slot down a level — which takes
+	// one clamped leaf off the maxLen level and lowers the Kraft sum
+	// Σ2^-len by exactly 2^-maxLen — until the sum is back to 1. The loop
+	// runs on that exact excess, counted in units of 2^-maxLen, rather
+	// than on half the number of clamped leaves: that count falls short
+	// when a leaf sits two or more levels past the limit (zlib's
+	// gen_bitlen also counts the clamped internal nodes), leaving an
+	// over-subscribed code that inflaters reject. When every clamped
+	// leaf sat one level past the limit the two agree, so the lengths
+	// are zlib's.
 	var blCount [maxBits + 1]int
-	overflow := 0
 	for i := 0; i < n; i++ {
-		d := int(depth[i])
-		if d > maxLen {
-			overflow++
-			d = maxLen
-		}
-		blCount[d]++
+		blCount[min(int(depth[i]), maxLen)]++
 	}
-	for overflow > 0 {
+	excess := -1 << maxLen
+	for b := 1; b <= maxLen; b++ {
+		excess += blCount[b] << (maxLen - b)
+	}
+	for ; excess > 0; excess-- {
 		b := maxLen - 1
 		for blCount[b] == 0 {
 			b--
@@ -232,7 +238,6 @@ func buildLens(freq []uint32, maxLen int, lens []uint8, scratch *[]uint32) uint6
 		blCount[b]--
 		blCount[b+1] += 2
 		blCount[maxLen]--
-		overflow -= 2
 	}
 
 	// Reassign: shortest lengths to the most frequent symbols. syms is

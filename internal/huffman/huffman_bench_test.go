@@ -31,17 +31,6 @@ func quantCodes(n int, seed int64) []int32 {
 	return syms
 }
 
-func BenchmarkEncode(b *testing.B) {
-	syms := quantCodes(1<<20, 1)
-	b.SetBytes(int64(len(syms)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Encode(syms); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkDecode(b *testing.B) {
 	syms := quantCodes(1<<20, 2)
 	enc, err := Encode(syms)

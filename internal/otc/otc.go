@@ -1,7 +1,11 @@
 // Package otc implements an orthogonal-transform compressor: a blockwise
 // orthonormal DCT-II front end (in the spirit of ZFP's custom transform
 // and SSEM's wavelets) followed by the same uniform quantization + Huffman
-// + DEFLATE back end as the SZ pipeline.
+// + DEFLATE back end as the SZ pipeline. That back end, and the chunk
+// payload layout with it, is internal/codec's EncodePayload and
+// DecodePayload; this package supplies the coefficient codes, literal
+// coefficients, and the transform id and block size the payload prefix
+// records.
 //
 // Its purpose in this module is twofold:
 //
@@ -23,16 +27,13 @@
 package otc
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
 
 	"fixedpsnr/internal/codec"
 	"fixedpsnr/internal/field"
-	"fixedpsnr/internal/huffman"
 	"fixedpsnr/internal/parallel"
 	"fixedpsnr/internal/quantizer"
 	"fixedpsnr/internal/transform"
@@ -115,8 +116,8 @@ const (
 
 // Options is the unified codec configuration (see codec.Options). The
 // transform pipeline reads ErrorBound (half the coefficient bin width:
-// δ = 2·ErrorBound), Transform, BlockSize, Capacity, Workers, Level, and
-// the header annotations; AutoCapacity and ChunkRows are ignored.
+// δ = 2·ErrorBound), Transform, BlockSize, Capacity, Workers, and the
+// header annotations; AutoCapacity and ChunkRows are ignored.
 type Options = codec.Options
 
 // blockEdge resolves the block-size default.
@@ -363,7 +364,7 @@ func Compress(f *field.Field, opt Options) ([]byte, *Stats, error) {
 // check ctx between transform blocks (a cancelled context aborts within
 // one block of work per worker and surfaces ctx.Err()), and the block
 // gather buffers plus the entropy-stage staging buffers and DEFLATE
-// writer come from sc when it is non-nil.
+// encoder come from sc when it is non-nil.
 //
 // When Options.ChunkPoints or ChunkRows is set the field is tiled into
 // independently decodable chunks along the slowest dimension (blocks are
@@ -527,7 +528,9 @@ func compressChunk(ctx context.Context, data []float64, dims []int, opt Options,
 		codes = append(codes, o.codes...)
 		literals = append(literals, o.literals...)
 	}
-	payload, err := encodePayload(codes, literals, blockEdge(opt), opt.Transform, opt.Level, sc)
+	payload, err := codec.EncodePayload(codec.IDOTC, field.Float64, opt.Capacity, codec.Payload{
+		Codes: codes, Literals: literals, Transform: opt.Transform, BlockSize: blockEdge(opt),
+	}, sc)
 	if err != nil {
 		return nil, cst, err
 	}
@@ -604,12 +607,12 @@ func DecompressScratch(data []byte, sc *codec.Scratch) (*field.Field, *codec.Hea
 // into dst (the chunk's points). Blocks within the chunk run in
 // parallel. Transient buffers come from sc (nil = fresh allocations).
 func decompressChunk(payload []byte, h *codec.Header, ci int, dst []float64, sc *codec.Scratch) error {
-	codes, literals, blockSize, tr, err := decodePayload(payload, sc)
+	p, err := codec.DecodePayload(codec.IDOTC, h.Precision, payload, sc)
 	if err != nil {
-		return err
+		return fmt.Errorf("otc: chunk %d: %w", ci, err)
 	}
-	defer sc.PutInt32s(codes)
-	defer sc.PutFloats(literals)
+	defer sc.PutPayload(p)
+	codes, literals := p.Codes, p.Literals
 	dims := h.ChunkDims(ci)
 	if len(codes) != len(dst) {
 		return fmt.Errorf("otc: chunk %d has %d codes for %d points", ci, len(codes), len(dst))
@@ -618,7 +621,7 @@ func decompressChunk(payload []byte, h *codec.Header, ci int, dst []float64, sc 
 	if err != nil {
 		return err
 	}
-	blocks := blockGrid(dims, blockSize)
+	blocks := blockGrid(dims, p.BlockSize)
 
 	// Pre-compute per-block offsets into the code/literal streams. The
 	// literal offsets depend on the code stream, so this pass is serial;
@@ -662,285 +665,10 @@ func decompressChunk(payload []byte, h *codec.Header, ci int, dst []float64, sc 
 			buf[i] = q.Reconstruct(int(c))
 		}
 		sizes := br.size[:len(dims)]
-		if err := inverseBlock(buf, sizes, tr); err != nil {
+		if err := inverseBlock(buf, sizes, p.Transform); err != nil {
 			return err
 		}
 		scatterBlock(dst, dims, br, buf)
 		return nil
 	})
-}
-
-// encodePayload serializes one chunk as a versioned lanes4 payload:
-//
-//	[codec.PayloadMarker][codec.PayloadVersionLanes4]
-//	byte(tr) uvarint(blockSize)
-//	uvarint(npoints)
-//	[codes flag] uvarint(codesLen) <four-lane Huffman block, raw or DEFLATE>
-//	uvarint(litLen) <DEFLATE(uvarint(nlit) + float64 literals), litLen bytes>
-//
-// Coefficient codes go through huffman.EncodeLanes4Scratch and are
-// usually stored uncompressed (Huffman output on noisy chunks is within
-// ~0.1% of incompressible); smooth chunks keep the DEFLATE wrap when it
-// wins meaningfully (codec.CodesDeflateWins). The literal coefficients
-// (always float64) are always deflated. The staging buffers and DEFLATE
-// encoder come from sc (nil = fresh allocations); the returned payload
-// shares no storage with the scratch pools. level routes through
-// Scratch.AppendDeflate (0 = internal back-end, nonzero = stdlib escape
-// hatch).
-func encodePayload(codes []int32, literals []float64, blockSize int, tr Transform, level int, sc *codec.Scratch) ([]byte, error) {
-	out := sc.Bytes(len(codes)/2 + len(literals)*8 + 64)
-	out = append(out, codec.PayloadMarker, codec.PayloadVersionLanes4)
-	out = append(out, byte(tr))
-	out = binary.AppendUvarint(out, uint64(blockSize))
-	out = binary.AppendUvarint(out, uint64(len(codes)))
-
-	block := sc.Bytes(len(codes)/2 + 64)
-	hs := sc.Huffman()
-	block, err := huffman.EncodeLanes4Scratch(block, codes, hs)
-	sc.PutHuffman(hs)
-	if err != nil {
-		sc.PutBytes(block)
-		sc.PutBytes(out)
-		return nil, err
-	}
-	comp, err := sc.AppendDeflate(sc.Bytes(len(block)/2+64), block, level)
-	if err != nil {
-		sc.PutBytes(comp)
-		sc.PutBytes(block)
-		sc.PutBytes(out)
-		return nil, err
-	}
-	if codec.CodesDeflateWins(len(block), len(comp)) {
-		out = append(out, codec.PayloadCodesDeflate)
-		out = binary.AppendUvarint(out, uint64(len(comp)))
-		out = append(out, comp...)
-	} else {
-		out = append(out, codec.PayloadCodesRaw)
-		out = binary.AppendUvarint(out, uint64(len(block)))
-		out = append(out, block...)
-	}
-	sc.PutBytes(comp)
-	sc.PutBytes(block)
-
-	raw := sc.Bytes(len(literals)*8 + 16)
-	raw = binary.AppendUvarint(raw, uint64(len(literals)))
-	var tmp [8]byte
-	for _, v := range literals {
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-		raw = append(raw, tmp[:]...)
-	}
-	stage, err := sc.AppendDeflate(sc.Bytes(len(raw)/2+64), raw, level)
-	sc.PutBytes(raw)
-	if err != nil {
-		sc.PutBytes(stage)
-		sc.PutBytes(out)
-		return nil, err
-	}
-	out = binary.AppendUvarint(out, uint64(len(stage)))
-	out = append(out, stage...)
-	sc.PutBytes(stage)
-
-	// Hand back an exact-size copy, so append growth is amortized by the
-	// pool and the returned payload carries no slack capacity.
-	payload := append([]byte(nil), out...)
-	sc.PutBytes(out)
-	return payload, nil
-}
-
-// decodePayload reverses encodePayload (and the legacy whole-payload
-// DEFLATE layout, dispatched on the first byte — no DEFLATE stream can
-// begin with codec.PayloadMarker). The inflate reader and staging
-// buffer, the Huffman decode tables, and the returned codes and literals
-// slices all come from sc (nil = fresh allocations); the caller owns the
-// returned slices and should PutInts/PutFloats them when done.
-func decodePayload(payload []byte, sc *codec.Scratch) (codes []int32, literals []float64, blockSize int, tr Transform, err error) {
-	if len(payload) >= 2 && payload[0] == codec.PayloadMarker {
-		return decodePayloadLanes4(payload, sc)
-	}
-	return decodePayloadLegacy(payload, sc)
-}
-
-// decodePayloadLanes4 decodes a versioned lanes4 chunk payload.
-func decodePayloadLanes4(payload []byte, sc *codec.Scratch) (codes []int32, literals []float64, blockSize int, tr Transform, err error) {
-	if payload[1] != codec.PayloadVersionLanes4 {
-		return nil, nil, 0, 0, fmt.Errorf("otc: unsupported chunk payload version %d", payload[1])
-	}
-	raw := payload[2:]
-	if len(raw) < 1 {
-		return nil, nil, 0, 0, fmt.Errorf("otc: empty payload")
-	}
-	tr = Transform(raw[0])
-	if tr != TransformDCT && tr != TransformHaar {
-		return nil, nil, 0, 0, fmt.Errorf("otc: unknown transform %d", raw[0])
-	}
-	raw = raw[1:]
-	bs, k := binary.Uvarint(raw)
-	if k <= 0 || bs == 0 || bs > 1<<20 {
-		return nil, nil, 0, 0, fmt.Errorf("otc: bad block size")
-	}
-	raw = raw[k:]
-	npoints, k := binary.Uvarint(raw)
-	if k <= 0 {
-		return nil, nil, 0, 0, fmt.Errorf("otc: truncated point count")
-	}
-	raw = raw[k:]
-	if len(raw) < 1 {
-		return nil, nil, 0, 0, fmt.Errorf("otc: truncated codes section")
-	}
-	codesEnc := raw[0]
-	raw = raw[1:]
-	codesLen, k := binary.Uvarint(raw)
-	if k <= 0 {
-		return nil, nil, 0, 0, fmt.Errorf("otc: truncated codes section length")
-	}
-	raw = raw[k:]
-	if codesLen > uint64(len(raw)) {
-		return nil, nil, 0, 0, fmt.Errorf("otc: codes section shorter than declared (%d < %d)", len(raw), codesLen)
-	}
-	block := raw[:codesLen]
-	raw = raw[codesLen:]
-	switch codesEnc {
-	case codec.PayloadCodesRaw:
-		// block is the lanes4 bitstream as stored — the fast path.
-	case codec.PayloadCodesDeflate:
-		fr := sc.FlateReader(bytes.NewReader(block))
-		cbuf := sc.Buffer()
-		defer sc.PutBuffer(cbuf)
-		if _, err := cbuf.ReadFrom(fr); err != nil {
-			fr.Close()
-			sc.PutFlateReader(fr)
-			return nil, nil, 0, 0, fmt.Errorf("otc: inflate: %w", err)
-		}
-		if err := fr.Close(); err != nil {
-			sc.PutFlateReader(fr)
-			return nil, nil, 0, 0, err
-		}
-		sc.PutFlateReader(fr)
-		block = cbuf.Bytes()
-	default:
-		return nil, nil, 0, 0, fmt.Errorf("otc: unknown codes encoding %d", codesEnc)
-	}
-	if npoints > uint64(len(block))*8 {
-		// Every code costs at least one bit in its lane; reject a corrupt
-		// count before sizing the code buffer from it, against the
-		// materialized (post-inflate) block.
-		return nil, nil, 0, 0, fmt.Errorf("otc: %d codes cannot fit in %d codes-section bytes", npoints, len(block))
-	}
-	hd := sc.HuffDecode()
-	codes, _, err = huffman.DecodeLanes4Into(sc.Int32s(int(npoints))[:0], block, hd)
-	sc.PutHuffDecode(hd)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	if uint64(len(codes)) != npoints {
-		sc.PutInt32s(codes)
-		return nil, nil, 0, 0, fmt.Errorf("otc: decoded %d codes, want %d", len(codes), npoints)
-	}
-	litLen, k := binary.Uvarint(raw)
-	if k <= 0 {
-		sc.PutInt32s(codes)
-		return nil, nil, 0, 0, fmt.Errorf("otc: truncated literal section length")
-	}
-	raw = raw[k:]
-	if litLen > uint64(len(raw)) {
-		sc.PutInt32s(codes)
-		return nil, nil, 0, 0, fmt.Errorf("otc: literal section shorter than declared (%d < %d)", len(raw), litLen)
-	}
-
-	fr := sc.FlateReader(bytes.NewReader(raw[:litLen]))
-	buf := sc.Buffer()
-	defer sc.PutBuffer(buf)
-	if _, err := buf.ReadFrom(fr); err != nil {
-		fr.Close()
-		sc.PutFlateReader(fr)
-		sc.PutInt32s(codes)
-		return nil, nil, 0, 0, fmt.Errorf("otc: inflate: %w", err)
-	}
-	if err := fr.Close(); err != nil {
-		sc.PutFlateReader(fr)
-		sc.PutInt32s(codes)
-		return nil, nil, 0, 0, err
-	}
-	sc.PutFlateReader(fr)
-	lit := buf.Bytes()
-	nlit, k := binary.Uvarint(lit)
-	if k <= 0 {
-		sc.PutInt32s(codes)
-		return nil, nil, 0, 0, fmt.Errorf("otc: truncated literal count")
-	}
-	lit = lit[k:]
-	if uint64(len(lit)) < nlit*8 {
-		sc.PutInt32s(codes)
-		return nil, nil, 0, 0, fmt.Errorf("otc: literal stream truncated")
-	}
-	literals = sc.Floats(int(nlit))
-	for i := range literals {
-		literals[i] = math.Float64frombits(binary.LittleEndian.Uint64(lit[i*8:]))
-	}
-	return codes, literals, int(bs), tr, nil
-}
-
-// decodePayloadLegacy decodes the pre-lane layout: the whole payload is
-// one DEFLATE stream wrapping the transform id, block size, point count,
-// single-stream Huffman block, and literal floats.
-func decodePayloadLegacy(payload []byte, sc *codec.Scratch) (codes []int32, literals []float64, blockSize int, tr Transform, err error) {
-	fr := sc.FlateReader(bytes.NewReader(payload))
-	buf := sc.Buffer()
-	defer sc.PutBuffer(buf)
-	if _, err := buf.ReadFrom(fr); err != nil {
-		return nil, nil, 0, 0, fmt.Errorf("otc: inflate: %w", err)
-	}
-	if err := fr.Close(); err != nil {
-		return nil, nil, 0, 0, err
-	}
-	sc.PutFlateReader(fr)
-	raw := buf.Bytes()
-	if len(raw) < 1 {
-		return nil, nil, 0, 0, fmt.Errorf("otc: empty payload")
-	}
-	tr = Transform(raw[0])
-	if tr != TransformDCT && tr != TransformHaar {
-		return nil, nil, 0, 0, fmt.Errorf("otc: unknown transform %d", raw[0])
-	}
-	raw = raw[1:]
-	bs, k := binary.Uvarint(raw)
-	if k <= 0 || bs == 0 || bs > 1<<20 {
-		return nil, nil, 0, 0, fmt.Errorf("otc: bad block size")
-	}
-	raw = raw[k:]
-	npoints, k := binary.Uvarint(raw)
-	if k <= 0 {
-		return nil, nil, 0, 0, fmt.Errorf("otc: truncated point count")
-	}
-	raw = raw[k:]
-	if npoints > uint64(len(raw))*8 {
-		// Every code costs at least one bit downstream; reject a corrupt
-		// count before sizing the code buffer from it.
-		return nil, nil, 0, 0, fmt.Errorf("otc: %d codes cannot fit in %d payload bytes", npoints, len(raw))
-	}
-	hd := sc.HuffDecode()
-	codes, consumed, err := huffman.DecodeInto(sc.Int32s(int(npoints))[:0], raw, hd)
-	sc.PutHuffDecode(hd)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	if uint64(len(codes)) != npoints {
-		sc.PutInt32s(codes)
-		return nil, nil, 0, 0, fmt.Errorf("otc: decoded %d codes, want %d", len(codes), npoints)
-	}
-	raw = raw[consumed:]
-	nlit, k := binary.Uvarint(raw)
-	if k <= 0 {
-		return nil, nil, 0, 0, fmt.Errorf("otc: truncated literal count")
-	}
-	raw = raw[k:]
-	if uint64(len(raw)) < nlit*8 {
-		sc.PutInt32s(codes)
-		return nil, nil, 0, 0, fmt.Errorf("otc: literal stream truncated")
-	}
-	literals = sc.Floats(int(nlit))
-	for i := range literals {
-		literals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
-	}
-	return codes, literals, int(bs), tr, nil
 }

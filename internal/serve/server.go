@@ -601,9 +601,6 @@ func optionsFromQuery(r *http.Request) (fixedpsnr.Options, error) {
 	if opt.ChunkPoints, err = intQ("chunkpoints"); err != nil {
 		return opt, fmt.Errorf("chunkpoints: %w", err)
 	}
-	if opt.Level, err = intQ("level"); err != nil {
-		return opt, fmt.Errorf("level: %w", err)
-	}
 	for _, spec := range q["roi"] {
 		rt, err := ParseROISpec(spec)
 		if err != nil {

@@ -1,11 +1,9 @@
 package sz
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"fixedpsnr/internal/codec"
@@ -38,7 +36,7 @@ func CompressPWRel(f *field.Field, ebRel float64, opt Options) ([]byte, *Stats, 
 
 // CompressPWRelCtx is CompressPWRel with cancellation and buffer reuse:
 // ctx and sc are threaded into the inner log-domain Lorenzo compression,
-// and the mask DEFLATE writer comes from the scratch pool.
+// and the mask DEFLATE encoder comes from the scratch pool.
 func CompressPWRelCtx(ctx context.Context, f *field.Field, ebRel float64, opt Options, sc *codec.Scratch) ([]byte, *Stats, error) {
 	if err := f.Validate(); err != nil {
 		return nil, nil, err
@@ -78,10 +76,7 @@ func CompressPWRelCtx(ctx context.Context, f *field.Field, ebRel float64, opt Op
 		return nil, nil, fmt.Errorf("sz: pwrel inner compression: %w", err)
 	}
 
-	maskStream, err := sc.AppendDeflate(nil, masks, opt.Level)
-	if err != nil {
-		return nil, nil, err
-	}
+	maskStream := sc.AppendDeflate(nil, masks)
 
 	payload := make([]byte, 0, 16+len(maskStream)+len(inner))
 	payload = appendFloat64(payload, ebRel)
@@ -167,18 +162,12 @@ func DecompressPWRelScratch(data []byte, sc *codec.Scratch) (*field.Field, *Head
 	if uint64(len(payload)) < maskLen {
 		return nil, nil, fmt.Errorf("sz: pwrel masks truncated")
 	}
-	fr := sc.FlateReader(bytes.NewReader(payload[:maskLen]))
-	masks, err := io.ReadAll(fr)
+	buf, err := sc.Inflate(payload[:maskLen])
 	if err != nil {
-		fr.Close()
-		sc.PutFlateReader(fr)
 		return nil, nil, fmt.Errorf("sz: pwrel masks: %w", err)
 	}
-	if err := fr.Close(); err != nil {
-		sc.PutFlateReader(fr)
-		return nil, nil, err
-	}
-	sc.PutFlateReader(fr)
+	defer sc.PutBuffer(buf)
+	masks := buf.Bytes()
 	n := h.NPoints()
 	maskBytes := (n + 7) / 8
 	if len(masks) != 2*maskBytes {
