@@ -68,6 +68,35 @@ func fixtureConfigs() map[string]fixedpsnr.Options {
 	}
 }
 
+// otcFixtureConfigs pin the transform paths otc_psnr misses: the Haar
+// wavelet, and a block edge that leaves partial blocks on every axis and
+// at every chunk boundary. They postdate the four-lane payload, so they
+// have no frozen legacy counterpart and stay out of fixtureConfigs.
+func otcFixtureConfigs() map[string]fixedpsnr.Options {
+	return map[string]fixedpsnr.Options{
+		"otc_haar": {
+			Mode: fixedpsnr.ModePSNR, TargetPSNR: 60,
+			Compressor:  fixedpsnr.CompressorWavelet,
+			ChunkPoints: fixedpsnr.MinChunkPoints, Workers: 2,
+		},
+		"otc_block6": {
+			Mode: fixedpsnr.ModeRatio, TargetRatio: 8,
+			Compressor: fixedpsnr.CompressorTransform, BlockSize: 6,
+			ChunkPoints: fixedpsnr.MinChunkPoints, Workers: 2,
+		},
+	}
+}
+
+// currentFixtureConfigs is every configuration with a current-format
+// fixture under testdata/streams/lanes4.
+func currentFixtureConfigs() map[string]fixedpsnr.Options {
+	m := fixtureConfigs()
+	for name, opt := range otcFixtureConfigs() {
+		m[name] = opt
+	}
+	return m
+}
+
 // TestStreamFixtures pins the exact bytes every no-region-target encode
 // produces: refactors of the steering stack (per-region targets, group
 // tables) must leave plain streams untouched, so new code is compared
@@ -78,7 +107,7 @@ func fixtureConfigs() map[string]fixedpsnr.Options {
 // guards and -update never rewrites.
 func TestStreamFixtures(t *testing.T) {
 	f := fixtureField("fixture", fixedpsnr.Float32, 64, 64, 16)
-	for name, opt := range fixtureConfigs() {
+	for name, opt := range currentFixtureConfigs() {
 		t.Run(name, func(t *testing.T) {
 			blob, _, err := fixedpsnr.Compress(f, opt)
 			if err != nil {
@@ -179,7 +208,7 @@ func TestLegacyStreamFixtures(t *testing.T) {
 // ForceGeneric restore bug.
 func TestStreamFixturesKernelIndependent(t *testing.T) {
 	f := fixtureField("fixture", fixedpsnr.Float32, 64, 64, 16)
-	for name, opt := range fixtureConfigs() {
+	for name, opt := range currentFixtureConfigs() {
 		t.Run(name, func(t *testing.T) {
 			dispatched, _, err := fixedpsnr.Compress(f, opt)
 			if err != nil {
