@@ -147,6 +147,44 @@ func TestTransformPipelineFixedPSNR(t *testing.T) {
 	}
 }
 
+// The transform pipeline caps a block's effective edge, min(BlockSize,
+// extent), at 64 on every axis: a 64 edge round-trips, an edge of 65
+// fails with an error (it once panicked slicing a 64-float line buffer),
+// and a larger BlockSize on a field narrower than 65 still works.
+func TestTransformBlockEdgeCap(t *testing.T) {
+	for _, tc := range []struct {
+		blockSize, rows, cols int
+		ok                    bool
+	}{
+		{64, 64, 80, true},
+		{65, 10, 100, false},
+		{65, 10, 50, true},
+		{1 << 20, 40, 30, true},
+	} {
+		f := waveField("edge", tc.rows, tc.cols)
+		stream, _, err := fixedpsnr.Compress(f, fixedpsnr.Options{
+			Mode: fixedpsnr.ModePSNR, TargetPSNR: 60,
+			Compressor: fixedpsnr.CompressorTransform, BlockSize: tc.blockSize,
+		})
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("BlockSize %d on %dx%d: Compress succeeded, want an edge error", tc.blockSize, tc.rows, tc.cols)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("BlockSize %d on %dx%d: %v", tc.blockSize, tc.rows, tc.cols, err)
+		}
+		g, _, err := fixedpsnr.Decompress(stream)
+		if err != nil {
+			t.Fatalf("BlockSize %d on %dx%d: decode: %v", tc.blockSize, tc.rows, tc.cols, err)
+		}
+		if d := fixedpsnr.CompareFields(f, g); d.PSNR < 59 {
+			t.Errorf("BlockSize %d on %dx%d: PSNR %.2f dB, target 60", tc.blockSize, tc.rows, tc.cols, d.PSNR)
+		}
+	}
+}
+
 func TestOptionValidation(t *testing.T) {
 	f := waveField("bad", 32, 32)
 	cases := []fixedpsnr.Options{

@@ -70,6 +70,45 @@ func TestDecodeRejectsHugeLiteralCount(t *testing.T) {
 	}
 }
 
+// TestDecodeBlockEdgeCap feeds the otc decoder a 1×1×n chunk whose
+// payload records block size bs: an effective edge min(bs, n) above 64
+// must fail with an error (it panicked a decode worker once), while a
+// recorded block size far above the chunk's extent must keep decoding.
+func TestDecodeBlockEdgeCap(t *testing.T) {
+	for _, tc := range []struct {
+		n, bs int
+		ok    bool
+	}{
+		{100, 65, false},
+		{100, 1 << 20, false},
+		{100, 64, true},
+		{50, 1000, true},
+		{64, 1 << 20, true},
+	} {
+		codes := make([]int32, tc.n)
+		for i := range codes {
+			codes[i] = 128 + int32(i%5)
+		}
+		payload, err := codec.EncodePayload(codec.IDOTC, field.Float64, 256,
+			codec.Payload{Codes: codes, Transform: codec.TransformDCT, BlockSize: tc.bs}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := &codec.Header{
+			Codec:     codec.IDOTC,
+			Precision: field.Float64,
+			Dims:      []int{1, 1, tc.n},
+			EbAbs:     1e-3,
+			Capacity:  256,
+			Chunks:    []codec.ChunkInfo{{Rows: 1}},
+		}
+		err = codec.DecompressChunkInto(make([]float64, tc.n), h, 0, payload, nil)
+		if (err == nil) != tc.ok {
+			t.Errorf("1×1×%d chunk with block size %d: err = %v, want ok=%v", tc.n, tc.bs, err, tc.ok)
+		}
+	}
+}
+
 // TestEncodePayloadRoundTrip pins the layout both pipelines share: codes
 // and literals survive, literals at the field precision for IDLorenzo
 // and always float64 for IDOTC, and the IDOTC prefix round-trips.

@@ -30,7 +30,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"fixedpsnr/internal/codec"
 	"fixedpsnr/internal/field"
@@ -132,66 +131,88 @@ func blockEdge(o Options) int {
 // This pipeline does not measure its exact MSE, so Stats.MSE is NaN.
 type Stats = codec.Stats
 
-// dctCache shares DCT basis matrices across blocks and calls.
-var dctCache sync.Map // int → *transform.DCT
+// maxEdge caps a block's edge on every axis, min(BlockSize, chunk
+// extent). No encoder has ever produced a stream with a longer edge, and
+// the cap bounds both the per-worker block buffers and the DCT basis, n²
+// floats, that a recorded block size would otherwise make the decoder
+// build.
+const maxEdge = 64
 
-func dctFor(n int) (*transform.DCT, error) {
-	if v, ok := dctCache.Load(n); ok {
-		return v.(*transform.DCT), nil
-	}
-	d, err := transform.NewDCT(n)
-	if err != nil {
-		return nil, err
-	}
-	actual, _ := dctCache.LoadOrStore(n, d)
-	return actual.(*transform.DCT), nil
-}
-
-// blockRange describes one block along each axis: offsets and sizes.
+// blockRange describes one block: per-axis offsets and sizes, its point
+// count, and where its codes start in the chunk's block-major code order.
 type blockRange struct {
-	off  [3]int
-	size [3]int
-	n    int // total points
+	off   [3]int
+	size  [3]int
+	n     int
+	start int
 }
 
-// blockGrid enumerates blocks covering dims with edge length b, cutting
-// partial blocks at the boundary.
-func blockGrid(dims []int, b int) []blockRange {
-	steps := make([][]blockRange, len(dims))
-	for a, d := range dims {
-		for lo := 0; lo < d; lo += b {
-			hi := lo + b
-			if hi > d {
-				hi = d
+// blockGrid enumerates, in row-major block order, the blocks covering
+// dims with edge length b, cutting partial blocks at the boundary. It is
+// the one place encode and decode check the edge against maxEdge.
+func blockGrid(dims []int, b int) ([]blockRange, error) {
+	for _, d := range dims {
+		if e := min(b, d); e > maxEdge {
+			return nil, fmt.Errorf("otc: block edge %d exceeds %d", e, maxEdge)
+		}
+	}
+	blocks := make([]blockRange, 0, blockCount(dims, b))
+	var off [3]int
+	start := 0
+	for {
+		br := blockRange{off: off, n: 1, start: start}
+		for a, d := range dims {
+			br.size[a] = min(b, d-off[a])
+			br.n *= br.size[a]
+		}
+		blocks = append(blocks, br)
+		start += br.n
+		a := len(dims) - 1
+		for ; a >= 0; a-- {
+			if off[a] += b; off[a] < dims[a] {
+				break
 			}
-			var r blockRange
-			r.off[a] = lo
-			r.size[a] = hi - lo
-			steps[a] = append(steps[a], r)
+			off[a] = 0
+		}
+		if a < 0 {
+			return blocks, nil
 		}
 	}
-	// Cartesian product across axes.
-	blocks := []blockRange{{size: [3]int{1, 1, 1}, n: 1}}
-	for a := range dims {
-		var next []blockRange
-		for _, base := range blocks {
-			for _, s := range steps[a] {
-				nb := base
-				nb.off[a] = s.off[a]
-				nb.size[a] = s.size[a]
-				next = append(next, nb)
-			}
-		}
-		blocks = next
+}
+
+// blockCount is the number of blocks blockGrid cuts dims into.
+func blockCount(dims []int, b int) int {
+	n := 1
+	for _, d := range dims {
+		n *= (d + b - 1) / b
 	}
-	for i := range blocks {
-		n := 1
-		for a := 0; a < len(dims); a++ {
-			n *= blocks[i].size[a]
-		}
-		blocks[i].n = n
+	return n
+}
+
+// forBlocks runs fn over every block on up to workers goroutines (0 =
+// all cores), handing it the block's index and two buffers of the
+// block's size: one for its points and one for the transform kernel's
+// work. Each worker slot borrows one pair from sc for the whole loop, so
+// no block allocates.
+func forBlocks(ctx context.Context, blocks []blockRange, workers int, sc *codec.Scratch, fn func(bi int, buf, work []float64) error) error {
+	if workers <= 0 {
+		workers = parallel.DefaultWorkers()
 	}
-	return blocks
+	// blocks[0] starts at the origin, so no block is larger.
+	nmax := blocks[0].n
+	slots := make([][]float64, min(workers, len(blocks)))
+	defer func() {
+		for w, s := range slots {
+			sc.Shard(w).PutFloats(s)
+		}
+	}()
+	return parallel.ForEachWorkerCtx(ctx, len(blocks), workers, func(w, bi int) error {
+		if slots[w] == nil {
+			slots[w] = sc.Shard(w).Floats(2 * nmax)
+		}
+		n := blocks[bi].n
+		return fn(bi, slots[w][:n], slots[w][nmax:nmax+n])
+	})
 }
 
 // gatherBlock copies a block into buf (row-major within the block).
@@ -246,112 +267,6 @@ func scatterBlock(data []float64, dims []int, br blockRange, buf []float64) {
 			}
 		}
 	}
-}
-
-// forwardBlock applies the separable orthonormal block transform in place
-// over a block buffer with the given per-axis sizes (rank = len(sizes)).
-func forwardBlock(buf []float64, sizes []int, tr Transform) error {
-	return applyBlock(buf, sizes, tr, false)
-}
-
-// inverseBlock inverts forwardBlock.
-func inverseBlock(buf []float64, sizes []int, tr Transform) error {
-	return applyBlock(buf, sizes, tr, true)
-}
-
-func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
-
-func log2int(n int) int {
-	l := 0
-	for m := n; m > 1; m >>= 1 {
-		l++
-	}
-	return l
-}
-
-func applyBlock(buf []float64, sizes []int, tr Transform, inverse bool) error {
-	rank := len(sizes)
-	// Strides for row-major layout of the block.
-	strides := make([]int, rank)
-	s := 1
-	for a := rank - 1; a >= 0; a-- {
-		strides[a] = s
-		s *= sizes[a]
-	}
-	total := s
-	line := make([]float64, 0, 64)
-	out := make([]float64, 0, 64)
-	for a := 0; a < rank; a++ {
-		L := sizes[a]
-		if L == 1 {
-			continue
-		}
-		// Haar requires power-of-two lengths; other lengths keep the
-		// exact-size DCT so the block transform remains orthonormal.
-		useHaar := tr == TransformHaar && isPow2(L)
-		var d *transform.DCT
-		if !useHaar {
-			var err error
-			d, err = dctFor(L)
-			if err != nil {
-				return err
-			}
-		}
-		line = line[:L]
-		out = out[:L]
-		stride := strides[a]
-		nlines := total / L
-		for ln := 0; ln < nlines; ln++ {
-			// Decompose the line index into coordinates of the other
-			// axes to find the base offset.
-			base := 0
-			rem := ln
-			for x := rank - 1; x >= 0; x-- {
-				if x == a {
-					continue
-				}
-				c := rem % sizes[x]
-				rem /= sizes[x]
-				base += c * strides[x]
-			}
-			if stride == 1 {
-				copy(line, buf[base:base+L])
-			} else {
-				idx := base
-				for k := range line {
-					line[k] = buf[idx]
-					idx += stride
-				}
-			}
-			if useHaar {
-				levels := log2int(L)
-				var err error
-				if inverse {
-					err = transform.HaarInverse(line, levels)
-				} else {
-					err = transform.HaarForward(line, levels)
-				}
-				if err != nil {
-					return err
-				}
-				copy(out, line)
-			} else if inverse {
-				d.Inverse(out, line)
-			} else {
-				d.Forward(out, line)
-			}
-			if stride == 1 {
-				copy(buf[base:base+L], out)
-			} else {
-				idx := base
-				for k := range out {
-					buf[idx] = out[k]
-					idx += stride
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // Compress compresses the field by blockwise orthonormal DCT and uniform
@@ -428,7 +343,7 @@ func CompressCtx(ctx context.Context, f *field.Field, opt Options, sc *codec.Scr
 			Min:           cst.Min,
 			Max:           cst.Max,
 		}
-		totalBlocks += len(blockGrid(subDims, blockEdge(opt)))
+		totalBlocks += blockCount(subDims, blockEdge(opt))
 	}
 
 	h := &codec.Header{
@@ -484,49 +399,44 @@ func chunkSpans(dims []int, opt Options) [][2]int {
 }
 
 // compressChunk transforms, quantizes, and entropy-codes one row slab.
-// Blocks within the chunk run in parallel under opt.Workers.
+// Blocks within the chunk run in parallel under opt.Workers, each writing
+// its codes straight into its window of one chunk-wide code slice.
 func compressChunk(ctx context.Context, data []float64, dims []int, opt Options, q *quantizer.Quantizer, sc *codec.Scratch) ([]byte, codec.ChunkStats, error) {
 	var cst codec.ChunkStats
-	blocks := blockGrid(dims, blockEdge(opt))
-	type blockOut struct {
-		codes    []int32
-		literals []float64
+	blocks, err := blockGrid(dims, blockEdge(opt))
+	if err != nil {
+		return nil, cst, err
 	}
-	outs := make([]blockOut, len(blocks))
-	err := parallel.ForEachWorkerCtx(ctx, len(blocks), opt.Workers, func(w, bi int) error {
+	// One allocation per chunk, not pooled: a field-sized code slice
+	// parked in the session pools stays live across GC cycles, which
+	// raised peak RSS by more than the allocation costs.
+	codes := make([]int32, len(data))
+	// Literal coefficients are rare, so each block keeps its own (nil
+	// for most) and they are joined in block order afterwards.
+	lits := make([][]float64, len(blocks))
+	haar := opt.Transform == TransformHaar
+	err = forBlocks(ctx, blocks, opt.Workers, sc, func(bi int, buf, work []float64) error {
 		br := blocks[bi]
-		sc := sc.Shard(w)
-		buf := sc.Floats(br.n)
 		gatherBlock(data, dims, br, buf)
-		sizes := br.size[:len(dims)]
-		if err := forwardBlock(buf, sizes, opt.Transform); err != nil {
-			sc.PutFloats(buf)
-			return err
-		}
-		codes := make([]int32, len(buf))
-		var literals []float64
+		transform.Block(buf, work, br.size[:len(dims)], haar, false)
+		cs := codes[br.start : br.start+br.n]
 		for i, c := range buf {
 			code, ok := q.Quantize(c)
 			if !ok {
-				literals = append(literals, c)
-				codes[i] = 0
-				continue
+				lits[bi] = append(lits[bi], c)
+				code = 0
 			}
-			codes[i] = int32(code)
+			cs[i] = int32(code)
 		}
-		sc.PutFloats(buf)
-		outs[bi] = blockOut{codes: codes, literals: literals}
 		return nil
 	})
 	if err != nil {
 		return nil, cst, err
 	}
 
-	var codes []int32
 	var literals []float64
-	for _, o := range outs {
-		codes = append(codes, o.codes...)
-		literals = append(literals, o.literals...)
+	for _, l := range lits {
+		literals = append(literals, l...)
 	}
 	payload, err := codec.EncodePayload(codec.IDOTC, field.Float64, opt.Capacity, codec.Payload{
 		Codes: codes, Literals: literals, Transform: opt.Transform, BlockSize: blockEdge(opt),
@@ -621,40 +531,35 @@ func decompressChunk(payload []byte, h *codec.Header, ci int, dst []float64, sc 
 	if err != nil {
 		return err
 	}
-	blocks := blockGrid(dims, p.BlockSize)
+	blocks, err := blockGrid(dims, p.BlockSize)
+	if err != nil {
+		return fmt.Errorf("otc: chunk %d: %w", ci, err)
+	}
 
-	// Pre-compute per-block offsets into the code/literal streams. The
-	// literal offsets depend on the code stream, so this pass is serial;
-	// the inverse transforms then run in parallel.
-	codeOff := make([]int, len(blocks)+1)
-	litOff := make([]int, len(blocks)+1)
-	pos := 0
+	// Pre-compute per-block offsets into the literal stream. They depend
+	// on the code stream, so this pass is serial; the inverse transforms
+	// then run in parallel.
+	litOff := make([]int, len(blocks))
 	lit := 0
 	for bi, br := range blocks {
-		codeOff[bi] = pos
 		litOff[bi] = lit
-		for _, c := range codes[pos : pos+br.n] {
+		for _, c := range codes[br.start : br.start+br.n] {
 			if c == 0 {
 				lit++
 			}
 		}
-		pos += br.n
 	}
-	codeOff[len(blocks)] = pos
-	litOff[len(blocks)] = lit
 	if lit != len(literals) {
 		return fmt.Errorf("otc: literal count mismatch (%d vs %d)", lit, len(literals))
 	}
 
-	return parallel.ForEachWorkerCtx(context.Background(), len(blocks), 0, func(w, bi int) error {
+	haar := p.Transform == TransformHaar
+	return forBlocks(context.Background(), blocks, 0, sc, func(bi int, buf, work []float64) error {
 		br := blocks[bi]
-		sc := sc.Shard(w)
-		buf := sc.Floats(br.n)
-		defer sc.PutFloats(buf)
 		li := litOff[bi]
 		// Range over the block's code window with buf pinned to the same
 		// length so the compiler drops both bounds checks in the hot loop.
-		cs := codes[codeOff[bi]:codeOff[bi+1]]
+		cs := codes[br.start : br.start+br.n]
 		buf = buf[:len(cs)]
 		for i, c := range cs {
 			if c == 0 {
@@ -664,10 +569,7 @@ func decompressChunk(payload []byte, h *codec.Header, ci int, dst []float64, sc 
 			}
 			buf[i] = q.Reconstruct(int(c))
 		}
-		sizes := br.size[:len(dims)]
-		if err := inverseBlock(buf, sizes, p.Transform); err != nil {
-			return err
-		}
+		transform.Block(buf, work, br.size[:len(dims)], haar, true)
 		scatterBlock(dst, dims, br, buf)
 		return nil
 	})

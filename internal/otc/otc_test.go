@@ -1,14 +1,17 @@
 package otc
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"fixedpsnr/internal/codec"
 	"fixedpsnr/internal/core"
 	"fixedpsnr/internal/field"
 	"fixedpsnr/internal/stats"
 	"fixedpsnr/internal/sz"
+	"fixedpsnr/internal/transform"
 )
 
 func smoothField(name string, noise float64, dims ...int) *field.Field {
@@ -39,7 +42,10 @@ func smoothField(name string, noise float64, dims ...int) *field.Field {
 
 func TestBlockGridCoversField(t *testing.T) {
 	for _, dims := range [][]int{{17}, {10, 13}, {5, 9, 12}} {
-		blocks := blockGrid(dims, 4)
+		blocks, err := blockGrid(dims, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
 		covered := make(map[int]int)
 		inner := func(br blockRange) {
 			// Enumerate all flat indices in the block.
@@ -89,7 +95,11 @@ func TestGatherScatterInverse(t *testing.T) {
 		src[i] = float64(i)
 	}
 	dst := make([]float64, len(src))
-	for _, br := range blockGrid(dims, 4) {
+	blocks, err := blockGrid(dims, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, br := range blocks {
 		buf := make([]float64, br.n)
 		gatherBlock(src, dims, br, buf)
 		scatterBlock(dst, dims, br, buf)
@@ -115,9 +125,8 @@ func TestForwardInverseBlockRoundTrip(t *testing.T) {
 				buf[i] = rng.NormFloat64()
 				orig[i] = buf[i]
 			}
-			if err := forwardBlock(buf, sizes, tr); err != nil {
-				t.Fatal(err)
-			}
+			work := make([]float64, n)
+			transform.Block(buf, work, sizes, tr == TransformHaar, false)
 			// Parseval inside the block — Theorem 2's hypothesis holds
 			// for both transform families.
 			var e0, e1 float64
@@ -128,9 +137,7 @@ func TestForwardInverseBlockRoundTrip(t *testing.T) {
 			if math.Abs(e0-e1) > 1e-10*(1+e0) {
 				t.Fatalf("%v sizes %v: block Parseval violated (%g vs %g)", tr, sizes, e0, e1)
 			}
-			if err := inverseBlock(buf, sizes, tr); err != nil {
-				t.Fatal(err)
-			}
+			transform.Block(buf, work, sizes, tr == TransformHaar, true)
 			for i := range buf {
 				if math.Abs(buf[i]-orig[i]) > 1e-12 {
 					t.Fatalf("%v sizes %v: round-trip diff at %d", tr, sizes, i)
@@ -307,5 +314,37 @@ func TestTransformString(t *testing.T) {
 	}
 	if Transform(9).String() == "" {
 		t.Fatal("unknown transform should render")
+	}
+}
+
+// A warm chunk encode on one worker writes every block's codes into one
+// chunk-wide slice and borrows its block buffers once per worker, so its
+// allocation count must not grow with the number of blocks: the same
+// 64³ chunk cut into 4096 blocks of 4³ allocates within a couple of
+// allocations of the 8 blocks of 32³ (the entropy stage's output buffers
+// grow with payload size, which differs slightly between the two).
+func TestCompressChunkWarmAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation makes sync.Pool drop items at random, inflating allocation counts")
+	}
+	dims := []int{64, 64, 64}
+	f := smoothField("allocs", 0.01, dims...)
+	sc := codec.NewScratch()
+	allocs := func(blockSize int) float64 {
+		encode := func() {
+			if _, _, err := (otcCodec{}).CompressChunk(context.Background(), f.Data, dims, field.Float64,
+				Options{ErrorBound: 1e-3, BlockSize: blockSize, Workers: 1}, sc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			encode() // warm the pools
+		}
+		return testing.AllocsPerRun(10, encode)
+	}
+	many, few := allocs(4), allocs(32)
+	t.Logf("warm chunk encode: %.0f allocs/op with 4096 blocks, %.0f with 8", many, few)
+	if many > few+2 {
+		t.Fatalf("warm chunk encode allocates %.0f/op with 4096 blocks vs %.0f with 8: allocation grows with block count", many, few)
 	}
 }

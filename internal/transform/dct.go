@@ -1,6 +1,7 @@
 // Package transform provides the orthonormal linear transforms used by the
 // transform-based compressor (internal/otc): the orthonormal DCT-II/III
-// pair and a multi-level orthonormal Haar wavelet transform.
+// pair and a multi-level orthonormal Haar wavelet transform, applied to
+// row-major blocks one axis at a time by Block.
 //
 // Every transform here is orthonormal — it preserves the l2 norm exactly
 // (Parseval). That property is the hypothesis of the paper's Theorem 2:
@@ -10,161 +11,134 @@
 package transform
 
 import (
-	"fmt"
 	"math"
+	"sync"
 )
 
-// DCT holds precomputed basis matrices for the orthonormal DCT-II of a
-// fixed size.
-type DCT struct {
-	n       int
-	forward [][]float64 // forward[k][j] = c(k)·cos(π(2j+1)k/2n)
+// dct holds the orthonormal DCT-II basis of one size as a flat row-major
+// n×n matrix, and its transpose, the DCT-III that inverts it.
+type dct struct {
+	fwd []float64 // fwd[k*n+j] = c(k)·cos(π(2j+1)k/2n)
+	inv []float64 // inv[j*n+k] = fwd[k*n+j]
 }
 
-// NewDCT precomputes an orthonormal DCT for vectors of length n ≥ 1.
-func NewDCT(n int) (*DCT, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("transform: DCT size must be ≥ 1, got %d", n)
-	}
-	d := &DCT{n: n, forward: make([][]float64, n)}
+func newDCT(n int) *dct {
+	d := &dct{fwd: make([]float64, n*n), inv: make([]float64, n*n)}
 	for k := 0; k < n; k++ {
-		row := make([]float64, n)
 		c := math.Sqrt(2 / float64(n))
 		if k == 0 {
 			c = math.Sqrt(1 / float64(n))
 		}
 		for j := 0; j < n; j++ {
-			row[j] = c * math.Cos(math.Pi*float64(2*j+1)*float64(k)/(2*float64(n)))
-		}
-		d.forward[k] = row
-	}
-	return d, nil
-}
-
-// Size returns the transform length.
-func (d *DCT) Size() int { return d.n }
-
-// Forward applies the orthonormal DCT-II: dst[k] = Σ_j basis[k][j]·src[j].
-// dst and src must both have length Size and may alias only if identical.
-func (d *DCT) Forward(dst, src []float64) {
-	for k := 0; k < d.n; k++ {
-		row := d.forward[k]
-		var s float64
-		for j := 0; j < d.n; j++ {
-			s += row[j] * src[j]
-		}
-		dst[k] = s
-	}
-}
-
-// Inverse applies the orthonormal DCT-III (the transpose, which is the
-// inverse of an orthonormal matrix).
-func (d *DCT) Inverse(dst, src []float64) {
-	for j := 0; j < d.n; j++ {
-		var s float64
-		for k := 0; k < d.n; k++ {
-			s += d.forward[k][j] * src[k]
-		}
-		dst[j] = s
-	}
-}
-
-// Forward2D applies the DCT separably to an n×n block stored row-major.
-func (d *DCT) Forward2D(dst, src []float64) {
-	n := d.n
-	tmp := make([]float64, n*n)
-	row := make([]float64, n)
-	out := make([]float64, n)
-	// Rows.
-	for i := 0; i < n; i++ {
-		copy(row, src[i*n:(i+1)*n])
-		d.Forward(out, row)
-		copy(tmp[i*n:(i+1)*n], out)
-	}
-	// Columns.
-	col := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			col[i] = tmp[i*n+j]
-		}
-		d.Forward(out, col)
-		for i := 0; i < n; i++ {
-			dst[i*n+j] = out[i]
+			v := c * math.Cos(math.Pi*float64(2*j+1)*float64(k)/(2*float64(n)))
+			d.fwd[k*n+j] = v
+			d.inv[j*n+k] = v
 		}
 	}
+	return d
 }
 
-// Inverse2D inverts Forward2D.
-func (d *DCT) Inverse2D(dst, src []float64) {
-	n := d.n
-	tmp := make([]float64, n*n)
-	col := make([]float64, n)
-	out := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			col[i] = src[i*n+j]
-		}
-		d.Inverse(out, col)
-		for i := 0; i < n; i++ {
-			tmp[i*n+j] = out[i]
-		}
+// dcts shares one basis per edge length across blocks and calls.
+var dcts sync.Map // int → *dct
+
+func dctFor(n int) *dct {
+	if v, ok := dcts.Load(n); ok {
+		return v.(*dct)
 	}
-	row := make([]float64, n)
-	for i := 0; i < n; i++ {
-		copy(row, tmp[i*n:(i+1)*n])
-		d.Inverse(out, row)
-		copy(dst[i*n:(i+1)*n], out)
-	}
+	v, _ := dcts.LoadOrStore(n, newDCT(n))
+	return v.(*dct)
 }
 
-// Forward3D applies the DCT separably to an n×n×n block stored row-major.
-func (d *DCT) Forward3D(dst, src []float64) {
-	d.apply3D(dst, src, d.Forward)
-}
-
-// Inverse3D inverts Forward3D.
-func (d *DCT) Inverse3D(dst, src []float64) {
-	d.apply3D(dst, src, d.Inverse)
-}
-
-func (d *DCT) apply3D(dst, src []float64, f func(dst, src []float64)) {
-	n := d.n
-	n2 := n * n
-	cur := make([]float64, n2*n)
-	copy(cur, src)
-	line := make([]float64, n)
-	out := make([]float64, n)
-	// Axis 2 (fastest): lines are contiguous.
-	for base := 0; base < n2*n; base += n {
-		copy(line, cur[base:base+n])
-		f(out, line)
-		copy(cur[base:base+n], out)
-	}
-	// Axis 1: stride n.
-	for i := 0; i < n; i++ {
-		for k := 0; k < n; k++ {
-			base := i*n2 + k
-			for j := 0; j < n; j++ {
-				line[j] = cur[base+j*n]
+// Block applies the separable orthonormal block transform in place to buf,
+// a row-major block with the given per-axis sizes, one axis at a time
+// from axis 0; with inverse set it applies the inverse, in the same axis
+// order. With haar set, power-of-two axes take the full multi-level Haar
+// DWT and every other axis the DCT of its exact length, so a block cut at
+// a field boundary stays orthonormal without padding. work is scratch of
+// at least len(buf) floats. Block allocates only to build the basis of an
+// edge length it has not met before, an n×n matrix, so callers bound the
+// edges they pass.
+func Block(buf, work []float64, sizes []int, haar, inverse bool) {
+	cur, other := buf, work[:len(buf)]
+	swapped := false
+	outer, inner := 1, len(buf)
+	for _, n := range sizes {
+		inner /= n
+		switch {
+		case n == 1:
+		case haar && n&(n-1) == 0:
+			for m := n; m >= 2; m /= 2 {
+				lm := m // synthesis runs the levels from the deepest out
+				if inverse {
+					lm = 2 * n / m
+				}
+				haarStep(other, cur, outer, n, inner, lm, inverse)
+				cur, other, swapped = other, cur, !swapped
 			}
-			f(out, line)
-			for j := 0; j < n; j++ {
-				cur[base+j*n] = out[j]
+		default:
+			d := dctFor(n)
+			mat := d.fwd
+			if inverse {
+				mat = d.inv
+			}
+			axis(other, cur, mat, outer, n, inner)
+			cur, other, swapped = other, cur, !swapped
+		}
+		outer *= n
+	}
+	if swapped {
+		copy(buf, cur)
+	}
+}
+
+// axis multiplies every line along the middle axis of src, viewed as
+// outer×n×inner, by the n×n matrix mat and writes dst, which must not
+// overlap src: dst[o][r][i] = Σ_c mat[r*n+c]·src[o][c][i]. Each sum starts
+// from zero and adds its terms in ascending c, the order of a dot product
+// over one gathered line, so the result does not depend on the layout.
+func axis(dst, src, mat []float64, outer, n, inner int) {
+	if n == 8 {
+		axis8(dst, src, (*[64]float64)(mat), outer, inner)
+		return
+	}
+	span := n * inner
+	for o := 0; o < outer*span; o += span {
+		s, d := src[o:o+span], dst[o:o+span]
+		for r := 0; r < n; r++ {
+			dr := d[r*inner : (r+1)*inner]
+			clear(dr)
+			for c, m := range mat[r*n : (r+1)*n] {
+				sr := s[c*inner : (c+1)*inner]
+				sr = sr[:len(dr)]
+				for i, x := range sr {
+					dr[i] += m * x
+				}
 			}
 		}
 	}
-	// Axis 0: stride n².
-	for j := 0; j < n; j++ {
-		for k := 0; k < n; k++ {
-			base := j*n + k
-			for i := 0; i < n; i++ {
-				line[i] = cur[base+i*n2]
-			}
-			f(out, line)
-			for i := 0; i < n; i++ {
-				cur[base+i*n2] = out[i]
+}
+
+// axis8 is axis for the default 8-point edge: it loads the 8 inputs of a
+// line once and forms all 8 outputs from registers.
+func axis8(dst, src []float64, mat *[64]float64, outer, inner int) {
+	span := 8 * inner
+	for o := 0; o < outer*span; o += span {
+		for i := o; i < o+inner; i++ {
+			x0, x1, x2, x3 := src[i], src[i+inner], src[i+2*inner], src[i+3*inner]
+			x4, x5, x6, x7 := src[i+4*inner], src[i+5*inner], src[i+6*inner], src[i+7*inner]
+			for r := 0; r < 8; r++ {
+				m := (*[8]float64)(mat[8*r:])
+				s := 0.0
+				s += m[0] * x0
+				s += m[1] * x1
+				s += m[2] * x2
+				s += m[3] * x3
+				s += m[4] * x4
+				s += m[5] * x5
+				s += m[6] * x6
+				s += m[7] * x7
+				dst[i+r*inner] = s
 			}
 		}
 	}
-	copy(dst, cur)
 }

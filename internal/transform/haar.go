@@ -1,71 +1,31 @@
 package transform
 
-import "fmt"
-
-// HaarForward applies an in-place multi-level orthonormal Haar transform
-// to x (length must be a power of two ≥ 1). Each level maps pairs
-// (a, b) → ((a+b)/√2, (a−b)/√2); levels counts how many times the
-// averaging half is recursed (levels ≤ log2(len)). The transform is
-// orthonormal: ‖HaarForward(x)‖₂ = ‖x‖₂.
-func HaarForward(x []float64, levels int) error {
-	n := len(x)
-	if n == 0 || n&(n-1) != 0 {
-		return fmt.Errorf("transform: Haar length %d is not a power of two", n)
-	}
-	maxLevels := 0
-	for m := n; m > 1; m >>= 1 {
-		maxLevels++
-	}
-	if levels < 0 || levels > maxLevels {
-		return fmt.Errorf("transform: %d levels out of range [0, %d]", levels, maxLevels)
-	}
-	tmp := make([]float64, n)
-	m := n
-	for l := 0; l < levels; l++ {
-		half := m / 2
+// haarStep applies one level of the orthonormal Haar DWT to the first m
+// entries of every line along the middle axis of src, viewed as
+// outer×n×inner, writes dst (which must not overlap src) and copies
+// entries m..n through. Analysis maps the pair (2i, 2i+1) to
+// (i, m/2+i) as ((a+b)/√2, (a−b)/√2); synthesis maps (i, m/2+i) back to
+// (2i, 2i+1) with the same butterfly. Running analysis at m = n, n/2, …, 2
+// is the full multi-level transform; synthesis at m = 2, 4, …, n inverts it.
+func haarStep(dst, src []float64, outer, n, inner, m int, inverse bool) {
+	half, span := m/2, n*inner
+	for o := 0; o < outer*span; o += span {
+		s, d := src[o:o+span], dst[o:o+span]
 		for i := 0; i < half; i++ {
-			a, b := x[2*i], x[2*i+1]
-			tmp[i] = (a + b) * invSqrt2
-			tmp[half+i] = (a - b) * invSqrt2
+			a, b, lo, hi := 2*i, 2*i+1, i, half+i
+			if inverse {
+				a, b, lo, hi = lo, hi, a, b
+			}
+			sa, sb := s[a*inner:(a+1)*inner], s[b*inner:(b+1)*inner]
+			dl, dh := d[lo*inner:(lo+1)*inner], d[hi*inner:(hi+1)*inner]
+			for k, x := range sa {
+				y := sb[k]
+				dl[k] = (x + y) * invSqrt2
+				dh[k] = (x - y) * invSqrt2
+			}
 		}
-		copy(x[:m], tmp[:m])
-		m = half
+		copy(d[m*inner:], s[m*inner:])
 	}
-	return nil
-}
-
-// HaarInverse inverts HaarForward with the same level count.
-func HaarInverse(x []float64, levels int) error {
-	n := len(x)
-	if n == 0 || n&(n-1) != 0 {
-		return fmt.Errorf("transform: Haar length %d is not a power of two", n)
-	}
-	maxLevels := 0
-	for m := n; m > 1; m >>= 1 {
-		maxLevels++
-	}
-	if levels < 0 || levels > maxLevels {
-		return fmt.Errorf("transform: %d levels out of range [0, %d]", levels, maxLevels)
-	}
-	tmp := make([]float64, n)
-	// Undo levels from the deepest out.
-	sizes := make([]int, 0, levels)
-	m := n
-	for l := 0; l < levels; l++ {
-		sizes = append(sizes, m)
-		m /= 2
-	}
-	for l := levels - 1; l >= 0; l-- {
-		m := sizes[l]
-		half := m / 2
-		for i := 0; i < half; i++ {
-			s, d := x[i], x[half+i]
-			tmp[2*i] = (s + d) * invSqrt2
-			tmp[2*i+1] = (s - d) * invSqrt2
-		}
-		copy(x[:m], tmp[:m])
-	}
-	return nil
 }
 
 const invSqrt2 = 0.7071067811865476 // 1/√2

@@ -2,46 +2,19 @@ package transform
 
 import "testing"
 
-func BenchmarkDCTForward8(b *testing.B) {
-	d, err := NewDCT(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := randSlice(8, 1)
-	dst := make([]float64, 8)
-	for i := 0; i < b.N; i++ {
-		d.Forward(dst, src)
-	}
-}
-
-func BenchmarkDCTForward2D8(b *testing.B) {
-	d, _ := NewDCT(8)
-	src := randSlice(64, 2)
-	dst := make([]float64, 64)
-	b.SetBytes(64 * 8)
-	for i := 0; i < b.N; i++ {
-		d.Forward2D(dst, src)
-	}
-}
-
-func BenchmarkDCTForward3D8(b *testing.B) {
-	d, _ := NewDCT(8)
-	src := randSlice(512, 3)
-	dst := make([]float64, 512)
+// benchBlock times one 8×8×8 block — the default otc block edge —
+// through the kernel in one direction.
+func benchBlock(b *testing.B, haar, inverse bool) {
+	buf, work := randSlice(512, 3), make([]float64, 512)
 	b.SetBytes(512 * 8)
-	for i := 0; i < b.N; i++ {
-		d.Forward3D(dst, src)
+	b.ReportAllocs()
+	for b.Loop() {
+		Block(buf, work, []int{8, 8, 8}, haar, inverse)
 	}
 }
 
-func BenchmarkHaarForward256(b *testing.B) {
-	src := randSlice(256, 4)
-	work := make([]float64, 256)
-	b.SetBytes(256 * 8)
-	for i := 0; i < b.N; i++ {
-		copy(work, src)
-		if err := HaarForward(work, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkBlockForward8x8x8(b *testing.B) { benchBlock(b, false, false) }
+
+func BenchmarkBlockInverse8x8x8(b *testing.B) { benchBlock(b, false, true) }
+
+func BenchmarkHaarBlock8x8x8(b *testing.B) { benchBlock(b, true, false) }
